@@ -1,52 +1,45 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build lint vet allocgate fsmgate shardgate offloadgate lifegate test bench bench-go figures quick-figures faults examples clean
+.PHONY: all build lint vet shardgate offloadgate lifegate test bench bench-go figures quick-figures faults examples clean
 
 all: build test
 
 build:
 	go build ./...
 
-# Static checks: formatting, vet, and the repo's own fslint analyzer
-# (determinism, lock discipline, and unit hygiene — see DESIGN.md).
+# Formatting and the standard go vet checks. The repo's own analyzer
+# runs in `make vet`.
 lint:
 	@fmt=$$(gofmt -l .); if [ -n "$$fmt" ]; then \
 		echo "gofmt: files need formatting:"; echo "$$fmt"; exit 1; fi
 	go vet ./...
-	go run ./cmd/fslint ./...
 
-# Typed whole-program analysis (fsvet): interprocedural determinism,
-# reachability, units, lock order, charge accounting and pooled-handle
-# escape checks, plus the static<->runtime lockdep cross-check against
-# the committed experiment mix. Fails on any unbaselined finding or on
-# an observed lock-order edge the static graph missed. Refreshes the
-# committed observed graph and timing record.
-vet:
-	go run ./cmd/fsvet -root . -baseline .fsvet-baseline.json \
-		-lockdep-cross-check -write-observed LOCKGRAPH_observed.json \
-		-bench-out BENCH_vet.json
-
-# Allocation gate: the fsvet alloc pass checks every hot-path function
-# against the committed budget (.fsvet-allocbudget.json), then the
-# runtime cross-check measures actual allocs/event (macro run) and
-# allocs/op (bare engine) against the budget's ceilings. Regenerate the
-# budget after deliberate changes with:
+# fsvet, in one invocation: every static pass over the type-checked
+# module, tests included (determinism, reachability, units, lock order
+# and lock balance, charge accounting, handle escapes, the alloc budget,
+# shard isolation, mailbox discipline, the TCP state machine), plus the
+# three runtime cross-checks:
+#   - lockdep: replays the experiment mix under runtime lockdep; an
+#     observed lock-order edge the static graph missed fails;
+#   - alloc: measures allocs/event on the macro web bench and on the
+#     bulk bed with every NIC offload on, and allocs/op on the bare
+#     engine, against the ceilings in .fsvet-allocbudget.json;
+#   - fsm: replays the fsm experiment mix under the runtime transition
+#     tracer; an observed transition with no static site, or < 90%
+#     coverage of the spec's non-defensive edges, fails.
+# Fails on any unbaselined finding. Refreshes the committed observed
+# graphs (LOCKGRAPH_observed.json, FSMGRAPH_observed.json); both mixes
+# are deterministic, so the files only move when behaviour does.
+# Regenerate the alloc budget after deliberate changes with:
 #   go run ./cmd/fsvet -write-allocbudget
 # (ceilings, notes and corpus fixture entries are preserved).
-allocgate:
-	go run ./cmd/fsvet -root . -alloc-cross-check -bench-out BENCH_allocgate.json
+FSVET = go run ./cmd/fsvet -root . -baseline .fsvet-baseline.json \
+	-lockdep-cross-check -write-observed LOCKGRAPH_observed.json \
+	-alloc-cross-check \
+	-fsm-cross-check -write-fsmgraph FSMGRAPH_observed.json
 
-# FSM gate: the fsvet fsm pass statically extracts every TCP
-# state-transition site and diffs the relation against the committed
-# spec (internal/vet/fsmspec.go); the cross-check then replays the fsm
-# experiment mix under the runtime transition tracer and fails if any
-# observed transition has no static site (analyzer bug) or the mix
-# covers < 90% of the spec's non-defensive edges. Refreshes the
-# committed observed matrix (FSMGRAPH_observed.json) — the mix is
-# deterministic, so the file only moves when TCP behaviour does.
-fsmgate:
-	go run ./cmd/fsvet -root . -baseline .fsvet-baseline.json \
-		-fsm-cross-check -write-fsmgraph FSMGRAPH_observed.json
+vet:
+	$(FSVET)
 
 # Shard gate: the conservative-lookahead engine's equality suite under
 # the race detector — engine unit tests (parallel == serial traces,
@@ -61,15 +54,13 @@ shardgate:
 # Offload gate: the NIC offload model's invariants. GRO merge boundary
 # and IRQ-coalescing timer unit tests, the TSO fault-granularity
 # equivalence (an armed fault plane draws identical per-MSS decisions
-# whether or not the wire carries super-segments), the offload digest
-# suite under the race detector (legacy == sharded, offloads-off
-# inert), and the fsvet runtime alloc cross-check with every offload
-# enabled against the committed macro ceiling.
+# whether or not the wire carries super-segments), and the offload
+# digest suite under the race detector (legacy == sharded, offloads-off
+# inert). The alloc ceiling with every offload on is `make vet`'s.
 offloadgate:
 	go test -run 'TestGRO|TestCoalesce' ./internal/kernel
 	go test -run 'TestTSO' ./internal/app
 	go test -race -run 'TestOffload|TestShardDigestOffload' ./internal/experiment
-	go run ./cmd/fsvet -root . -alloc-cross-check -offloads
 
 # Lifecycle gate: the host lifecycle plane's invariants. The app-layer
 # crash/drain/restart suite under the race detector, then the fixed
@@ -83,7 +74,7 @@ lifegate:
 	go test -race -run 'TestLifecycle' ./internal/app
 	go run ./cmd/fsbench lifecycle
 
-test: lint vet allocgate fsmgate lifegate
+test: lint vet lifegate
 	go test ./...
 
 # Full test run recorded to test_output.txt (what CI would archive).
@@ -91,12 +82,15 @@ test-record:
 	go test -count=1 ./... 2>&1 | tee test_output.txt
 
 # Benchmark the simulator engine itself and refresh the committed
-# perf record: writes BENCH_simperf.json with events/sec, ns/event and
+# perf records: BENCH_simperf.json with events/sec, ns/event and
 # allocs/event for a fixed macro run plus bare-loop schedule/fire and
-# schedule/cancel churn. Diff the file across commits to see how
-# engine changes move throughput.
+# schedule/cancel churn, and BENCH_vet.json with fsvet's load, pass and
+# cross-check seconds, finding and edge counts, and measured
+# allocations. Diff the files across commits to see how engine and
+# analyzer changes move. Wall-clock records are written only here.
 bench:
 	go run ./cmd/fsbench simperf
+	$(FSVET) -bench-out BENCH_vet.json
 
 # Any conventional go test benchmarks, archived to bench_output.txt.
 bench-go:

@@ -1,7 +1,8 @@
-// Command fsvet runs the types-aware analysis suite over the module:
-// whole-program type-check, the interprocedural passes, and the
-// static↔runtime cross-checks (lockdep order graph, allocation
-// ceilings, TCP state-machine coverage).
+// Command fsvet is the project's static analyzer: whole-program
+// type-check of the module (tests included), the analysis passes (see
+// internal/vet), and the static↔runtime cross-checks (lockdep order
+// graph, allocation ceilings, TCP state-machine coverage). make vet
+// runs every pass and cross-check in one invocation.
 //
 //	fsvet [-root dir] [-json] [-baseline file] [-lockgraph]
 //	      [-lockdep-cross-check] [-write-observed file]
@@ -47,15 +48,13 @@ func main() {
 			"run the committed experiment suite under runtime lockdep and diff observed vs static lock-order edges")
 		writeObserved = flag.String("write-observed", "", "write the observed lockdep graph JSON to this file (implies -lockdep-cross-check)")
 		allocCheck    = flag.Bool("alloc-cross-check", false,
-			"measure runtime allocations (macro web-bench run and bare-loop op) and fail if either exceeds the budget's runtime ceilings")
+			"measure runtime allocations (macro web-bench run, bulk run with every NIC offload on, bare-loop op) and fail if any exceeds the budget's runtime ceilings")
 		writeBudget = flag.Bool("write-allocbudget", false,
 			"regenerate "+vet.AllocBudgetFile+" from the current hot-path scan (preserving ceilings and notes) and exit")
-		offloads = flag.Bool("offloads", false,
-			"with -alloc-cross-check: also measure the bulk workload with TSO/GRO/IRQ-coalescing enabled against the same macro ceiling")
 		fsmCheck = flag.Bool("fsm-cross-check", false,
 			"replay the fsm experiment mix under the runtime transition tracer and diff observed vs static TCP state transitions")
 		writeFSMGraph = flag.String("write-fsmgraph", "", "write the observed TCP transition matrix JSON to this file (implies -fsm-cross-check)")
-		benchOut      = flag.String("bench-out", "", "write analysis timing JSON to this file")
+		benchOut      = flag.String("bench-out", "", "write the analysis record (timing, finding and edge counts, measured allocations) as JSON to this file")
 	)
 	flag.Parse()
 
@@ -196,9 +195,10 @@ func main() {
 		}
 		macroAllocs = measureMacroAllocs()
 		engineAllocs = measureEngineAllocs()
+		offloadAllocs = measureOffloadAllocs()
 		fmt.Fprintf(os.Stderr,
-			"fsvet: alloc cross-check: macro %.4f allocs/event (ceiling %.2f), engine %.4f allocs/op (ceiling %.2f)\n",
-			macroAllocs, budget.RuntimeCeilingAllocsPerEvent,
+			"fsvet: alloc cross-check: macro %.4f allocs/event, offloads-on bulk %.4f allocs/event (ceiling %.2f), engine %.4f allocs/op (ceiling %.2f)\n",
+			macroAllocs, offloadAllocs, budget.RuntimeCeilingAllocsPerEvent,
 			engineAllocs, budget.RuntimeCeilingEngineAllocsPerOp)
 		if macroAllocs > budget.RuntimeCeilingAllocsPerEvent {
 			fmt.Fprintf(os.Stderr,
@@ -212,44 +212,32 @@ func main() {
 				engineAllocs, budget.RuntimeCeilingEngineAllocsPerOp)
 			fail = true
 		}
-		if *offloads {
-			offloadAllocs = measureOffloadAllocs()
+		if offloadAllocs > budget.RuntimeCeilingAllocsPerEvent {
 			fmt.Fprintf(os.Stderr,
-				"fsvet: alloc cross-check (offloads on): bulk %.4f allocs/event (ceiling %.2f)\n",
+				"fsvet: RUNTIME ALLOC REGRESSION: bulk offload run allocated %.4f/event, budget ceiling is %.2f — the TSO/GRO/coalescing path allocates off-budget\n",
 				offloadAllocs, budget.RuntimeCeilingAllocsPerEvent)
-			if offloadAllocs > budget.RuntimeCeilingAllocsPerEvent {
-				fmt.Fprintf(os.Stderr,
-					"fsvet: RUNTIME ALLOC REGRESSION: bulk offload run allocated %.4f/event, budget ceiling is %.2f — the TSO/GRO/coalescing path allocates off-budget\n",
-					offloadAllocs, budget.RuntimeCeilingAllocsPerEvent)
-				fail = true
-			}
+			fail = true
 		}
 	}
 
 	if *benchOut != "" {
-		files := 0
+		files, testFiles := 0, 0
 		for _, ip := range prog.Paths {
 			files += len(prog.Files[ip])
+			testFiles += len(prog.TestFiles[ip])
 		}
-		// Honest before/after for the concurrent pass scheduler: rerun
-		// the same passes serially on the already-loaded program and
-		// report both pass-only wall times side by side (load/type-check
-		// time is shared and reported separately).
-		serialStart := time.Now()
-		vet.RunSerial(prog)
-		serial := time.Since(serialStart)
 		bench := map[string]any{
-			"tool":                  "fsvet",
-			"packages":              len(prog.Paths),
-			"files":                 files,
-			"analysis_seconds":      analysis.Seconds(),
-			"load_seconds":          load.Seconds(),
-			"passes_seconds":        passes.Seconds(),
-			"passes_serial_seconds": serial.Seconds(),
-			"crosscheck_seconds":    ccSeconds,
-			"findings":              len(findings),
-			"static_lock_edges":     len(res.LockGraph),
-			"static_fsm_edges":      len(res.FSMGraph),
+			"tool":               "fsvet",
+			"packages":           len(prog.Paths),
+			"files":              files,
+			"test_files":         testFiles,
+			"analysis_seconds":   analysis.Seconds(),
+			"load_seconds":       load.Seconds(),
+			"passes_seconds":     passes.Seconds(),
+			"crosscheck_seconds": ccSeconds,
+			"findings":           len(findings),
+			"static_lock_edges":  len(res.LockGraph),
+			"static_fsm_edges":   len(res.FSMGraph),
 		}
 		if *fsmCheck || *writeFSMGraph != "" {
 			bench["fsmcheck_seconds"] = fsmSeconds
@@ -258,9 +246,7 @@ func main() {
 		if *allocCheck {
 			bench["macro_allocs_per_event"] = macroAllocs
 			bench["engine_allocs_per_op"] = engineAllocs
-			if *offloads {
-				bench["offload_allocs_per_event"] = offloadAllocs
-			}
+			bench["offload_allocs_per_event"] = offloadAllocs
 		}
 		b, err := json.MarshalIndent(bench, "", "  ")
 		if err != nil {

@@ -42,7 +42,7 @@ func small() Options {
 // cache digests. This is the invariant every figure in the paper
 // reproduction rests on: if this test fails, no reported number can
 // be trusted, and the usual culprit is a map iteration or wall-clock
-// read that fslint (cmd/fslint) should have caught.
+// read that fsvet (cmd/fsvet) should have caught.
 func TestSimulationIsBitReproducible(t *testing.T) {
 	for _, spec := range StockKernels() {
 		spec := spec

@@ -9,7 +9,7 @@ package experiment
 // by completion order.
 //
 // Inside a job, everything remains single-threaded simulation subject
-// to the fslint determinism rules; only the orchestration *between*
+// to the fsvet determinism rules; only the orchestration *between*
 // whole runs may be concurrent.
 type Runner interface {
 	Run(n int, job func(i int))

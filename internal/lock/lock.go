@@ -315,7 +315,7 @@ func (l *SpinLock) TryAcquire(c Context) bool {
 	if l.slotAt(c.Now()) > c.Now() {
 		return false
 	}
-	//fslint:ignore locks acquires on behalf of the caller, who must Release
+	//fsvet:ignore lockorder acquires on behalf of the caller, who must Release
 	l.Acquire(c)
 	return true
 }

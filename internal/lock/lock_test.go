@@ -91,14 +91,14 @@ func TestBouncePenaltyChargedCrossCore(t *testing.T) {
 func TestRecursiveAcquirePanics(t *testing.T) {
 	l := New("test", 0)
 	c := &fakeCtx{}
-	//fslint:ignore locks intentional unreleased acquire; the test ends in a panic
+	//fsvet:ignore lockorder intentional unreleased acquire; the test ends in a panic
 	l.Acquire(c)
 	defer func() {
 		if recover() == nil {
 			t.Error("recursive acquire did not panic")
 		}
 	}()
-	//fslint:ignore locks deliberate recursive acquire to assert the panic
+	//fsvet:ignore lockorder deliberate recursive acquire to assert the panic
 	l.Acquire(c)
 }
 
@@ -106,7 +106,7 @@ func TestReleaseByNonHolderPanics(t *testing.T) {
 	l := New("test", 0)
 	a := &fakeCtx{core: 0}
 	b := &fakeCtx{core: 1}
-	//fslint:ignore locks intentionally left held; the mismatched Release panics
+	//fsvet:ignore lockorder intentionally left held; the mismatched Release panics
 	l.Acquire(a)
 	defer func() {
 		if recover() == nil {
@@ -125,7 +125,7 @@ func TestTryAcquire(t *testing.T) {
 
 	// Before freeAt: fails without spinning.
 	b := &fakeCtx{now: 50, core: 1}
-	//fslint:ignore locks success is the failure case here and fails the test
+	//fsvet:ignore lockorder success is the failure case here and fails the test
 	if l.TryAcquire(b) {
 		t.Error("TryAcquire succeeded while lock held")
 	}

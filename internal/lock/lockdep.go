@@ -9,11 +9,12 @@ import (
 )
 
 // Runtime lockdep: a dynamic complement to the static checks in
-// internal/analysis (fslint) and internal/vet (fsvet).
+// internal/vet (fsvet).
 //
-// The static analyzers pair Acquire/Release at the AST and type level;
-// lockdep watches the lock model at run time and records the
-// discipline violations only execution can see:
+// The static analyzer pairs Acquire/Release per function and orders
+// lock classes across the call graph; lockdep watches the lock model
+// at run time and records the discipline violations only execution
+// can see:
 //
 //   - double acquisition of the same lock by the same context,
 //   - release of a lock the context does not hold,

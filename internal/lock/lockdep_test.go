@@ -47,6 +47,7 @@ func TestLockdepCatchesDoubleAcquire(t *testing.T) {
 	defer DisableLockdep()
 	l := New("dbl", 0)
 	c := &fakeCtx{}
+	//fsvet:ignore lockorder intentionally left held; the nested recursive acquire panics
 	l.Acquire(c)
 	func() {
 		defer func() {
@@ -56,7 +57,7 @@ func TestLockdepCatchesDoubleAcquire(t *testing.T) {
 		}()
 		// The model panics on recursive acquisition, but lockdep must
 		// have recorded the violation first.
-		//fslint:ignore locks intentional double acquire to exercise lockdep
+		//fsvet:ignore lockorder intentional double acquire to exercise lockdep
 		l.Acquire(c)
 	}()
 	expectViolation(t, "double acquire of dbl")

@@ -327,21 +327,26 @@ func ValidRequest(data []byte) bool {
 // BuildResponse renders a 200 response whose total length is exactly
 // total bytes, with a Content-Length-correct body.
 func BuildResponse(total int) []byte {
-	const headerFmt = "HTTP/1.0 200 OK\r\nServer: nginx/1.4\r\nContent-Type: text/html\r\nContent-Length: %d\r\nConnection: close\r\n\r\n"
-	// Solve for the body size; Content-Length's digits change the
-	// header size, so iterate (converges immediately in practice).
-	body := total - len(fmt.Sprintf(headerFmt, 0))
-	for i := 0; i < 4; i++ {
-		header := fmt.Sprintf(headerFmt, body)
-		if len(header)+body == total || body <= 0 {
+	const headerFmt = "HTTP/1.0 200 OK\r\nServer: nginx/1.4\r\nContent-Type: text/html\r\nContent-Length: %0*d\r\nConnection: close\r\n\r\n"
+	// Content-Length's digits count toward the header, so solve for the
+	// narrowest field width w whose body still fits in w digits. Just
+	// past a power of ten (e.g. total 202: 99 needs 2 digits and gives
+	// 201 bytes, 100 needs 3 and gives 203) no unpadded width fits, and
+	// the length is zero-padded ("099") to land on total exactly.
+	fixed := len(fmt.Sprintf(headerFmt, 1, 0)) - 1
+	body, width := 0, 1
+	for w := 1; ; w++ {
+		body = total - fixed - w
+		if body < 0 {
+			body, width = 0, 1
 			break
 		}
-		body = total - len(fmt.Sprintf(headerFmt, body))
+		if len(strconv.Itoa(body)) <= w {
+			width = w
+			break
+		}
 	}
-	if body < 0 {
-		body = 0
-	}
-	return []byte(fmt.Sprintf(headerFmt, body) + strings.Repeat("b", body))
+	return []byte(fmt.Sprintf(headerFmt, width, body) + strings.Repeat("b", body))
 }
 
 // ParseResponse extracts the status code and body length, validating

@@ -1,8 +1,8 @@
 // Package sweep runs independent simulation jobs on parallel host
 // workers.
 //
-// This package is deliberately OUTSIDE the fslint determinism set
-// (see internal/analysis: it is registered as exempt) and is the only
+// This package is deliberately OUTSIDE the fsvet determinism set
+// (see internal/vet: it is registered as exempt) and is the only
 // place in the repository allowed to use goroutines. That is safe for
 // reproducibility because sweep never touches the inside of a
 // running simulation: it only orchestrates *whole* runs, each of

@@ -5,16 +5,18 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strconv"
 	"strings"
 )
 
-// checkDeterminism is the typed version of fslint's determinism rule
-// for restricted packages: goroutines, channel machinery, select, and
-// map iteration whose order can leak into results. Where fslint
-// guesses map-ness from names, this pass asks the type checker, so a
-// map behind a named type, an interface-free alias, or a multi-step
-// flow is caught, and a slice that merely shares a name with a map
-// field is not flagged.
+// checkDeterminism enforces the single-threaded, bit-reproducible
+// execution model on restricted packages: no forbidden import (even
+// one no function reaches, like a package-level sync.Mutex), no
+// goroutines, no channel machinery or select, and no map iteration
+// whose order can leak into results. Map-ness comes from the type
+// checker, so a map behind a named type or a multi-step flow is
+// caught, and a slice that merely shares a name with a map field is
+// not flagged.
 func (v *vetter) checkDeterminism() {
 	for _, ip := range v.prog.Paths {
 		if !Restricted(ip) {
@@ -28,6 +30,16 @@ func (v *vetter) checkDeterminism() {
 
 func (v *vetter) determinismFile(file *ast.File) {
 	info := v.prog.Info
+	for _, imp := range file.Imports {
+		path, err := strconv.Unquote(imp.Path.Value)
+		if err != nil {
+			continue
+		}
+		if why, bad := ForbiddenImports[path]; bad {
+			v.report(imp.Pos(), PassDeterminism,
+				"import %q is forbidden in deterministic simulation packages (%s)", path, why)
+		}
+	}
 	var enclosing []*ast.FuncDecl
 	ast.Inspect(file, func(n ast.Node) bool {
 		switch n := n.(type) {

@@ -34,9 +34,11 @@ import (
 //  3. A held-set walk of every function (and every deferred literal):
 //     sequential statement traversal tracking held classes through
 //     Acquire/Release/With and branch merges; each acquisition or
-//     summarized call emits (held x acquired) edges. The same walk
-//     flags paths that can return while still holding a lock acquired
-//     locally (no Release, no defer, not With-scoped).
+//     summarized call emits (held x acquired) edges.
+//
+// Whether each acquisition is released again is the lock-balance
+// check's question (lockbalance.go), answered per lock instance rather
+// than per class.
 //
 // Inversions are strongly-connected components of the class graph:
 // any cycle means two call chains disagree about ordering. Same-class
@@ -137,6 +139,7 @@ func (v *vetter) checkLocks(cg *callGraph, hot map[*types.Func]bool) (*lockAnaly
 		w.walkBody(d.lit.Body, newLockEnv())
 	}
 	la.reportInversions()
+	v.checkBalance()
 	return la, la.sortedEdges()
 }
 
@@ -492,27 +495,19 @@ func (w *lockWalker) taOfCall(call *ast.CallExpr) classSet {
 
 // --- layer 3: held-set walk ------------------------------------------
 
-// lockEnv is the per-path walk state: classes held (with the position
-// of the acquisition, for findings) and classes whose release is
-// deferred.
+// lockEnv is the per-path walk state: the classes held.
 type lockEnv struct {
-	held     map[string]token.Pos
-	deferred map[string]bool
-	dead     bool // path ended (return/panic); stop checking
+	held classSet
+	dead bool // path ended (return/panic); stop walking
 }
 
 func newLockEnv() *lockEnv {
-	return &lockEnv{held: map[string]token.Pos{}, deferred: map[string]bool{}}
+	return &lockEnv{held: classSet{}}
 }
 
 func (e *lockEnv) clone() *lockEnv {
 	c := newLockEnv()
-	for k, v := range e.held {
-		c.held[k] = v
-	}
-	for k := range e.deferred {
-		c.deferred[k] = true
-	}
+	c.held.add(e.held)
 	c.dead = e.dead
 	return c
 }
@@ -530,26 +525,20 @@ func (e *lockEnv) merge(branches ...*lockEnv) {
 		e.dead = true
 		return
 	}
-	merged := map[string]token.Pos{}
-	for k, v := range live[0].held {
+	merged := classSet{}
+	for k := range live[0].held {
 		in := true
 		for _, b := range live[1:] {
-			if _, ok := b.held[k]; !ok {
+			if !b.held[k] {
 				in = false
 				break
 			}
 		}
 		if in {
-			merged[k] = v
+			merged[k] = true
 		}
 	}
 	e.held = merged
-	e.deferred = map[string]bool{}
-	for _, b := range live {
-		for k := range b.deferred {
-			e.deferred[k] = true
-		}
-	}
 }
 
 type lockWalker struct {
@@ -564,9 +553,7 @@ type lockWalker struct {
 
 func (la *lockAnalysis) walkFunc(fn *types.Func) {
 	w := &lockWalker{la: la, fn: fn, localLits: map[types.Object]*ast.FuncLit{}}
-	env := newLockEnv()
-	w.walkBody(la.cg.decls[fn].Body, env)
-	w.checkExit(env, la.cg.decls[fn].End())
+	w.walkBody(la.cg.decls[fn].Body, newLockEnv())
 }
 
 // heldAll is the edge-source set: enclosing contexts plus this walk's
@@ -666,34 +653,18 @@ func (w *lockWalker) walkStmt(stmt ast.Stmt, env *lockEnv) {
 			}
 		}
 	case *ast.DeferStmt:
-		kind, classes := w.lockCall(s.Call)
-		if kind == "release" {
-			for c := range classes {
-				env.deferred[c] = true
-			}
+		// A deferred Release orders nothing. defer func(){...}(): the
+		// body's other effects are walked with the current held set.
+		if kind, _ := w.lockCall(s.Call); kind == "release" {
 			return
 		}
-		// defer func(){...}(): releases inside count as deferred;
-		// other effects are walked with the current held set.
 		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			ast.Inspect(lit.Body, func(n ast.Node) bool {
-				if call, ok := n.(*ast.CallExpr); ok {
-					if k, cs := w.lockCall(call); k == "release" {
-						for c := range cs {
-							env.deferred[c] = true
-						}
-					}
-				}
-				return true
-			})
-			sub := env.clone()
-			w.walkBody(lit.Body, sub)
+			w.walkBody(lit.Body, env.clone())
 		}
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
 			w.walkExpr(r, env)
 		}
-		w.checkExit(env, s.Pos())
 		env.dead = true
 	case *ast.IfStmt:
 		if s.Init != nil {
@@ -764,11 +735,11 @@ func (w *lockWalker) walkIf(s *ast.IfStmt, env *lockEnv) {
 				// if !l.TryAcquire(c) { bail }: held on the else path
 				// and after a terminating then-branch.
 				for c := range classes {
-					elseEnv.held[c] = call.Pos()
+					elseEnv.held[c] = true
 				}
 			} else {
 				for c := range classes {
-					thenEnv.held[c] = call.Pos()
+					thenEnv.held[c] = true
 				}
 			}
 		}
@@ -908,14 +879,11 @@ func (w *lockWalker) walkExpr(e ast.Expr, env *lockEnv) {
 	switch kind {
 	case "acquire", "tryacquire":
 		w.emitEdges(env, classes, qualifiedName(w.fn))
-		for c := range classes {
-			env.held[c] = call.Pos()
-		}
+		env.held.add(classes)
 		return
 	case "release":
 		for c := range classes {
 			delete(env.held, c)
-			delete(env.deferred, c)
 		}
 		return
 	case "with":
@@ -994,26 +962,6 @@ func heldUnion(outer classSet, env *lockEnv) classSet {
 		out[k] = true
 	}
 	return out
-}
-
-// checkExit flags locks still held (and not deferred-released) at a
-// return or at the end of the function body.
-func (w *lockWalker) checkExit(env *lockEnv, pos token.Pos) {
-	if env.dead {
-		return
-	}
-	var leaked []string
-	for c := range env.held {
-		if !env.deferred[c] {
-			leaked = append(leaked, c)
-		}
-	}
-	sort.Strings(leaked)
-	for _, c := range leaked {
-		w.la.v.report(pos, PassLockOrder,
-			"%s may return while holding %q (acquired at %s, no Release on this path)",
-			qualifiedName(w.fn), c, w.la.v.prog.RelPos(env.held[c]))
-	}
 }
 
 // --- inversions and output -------------------------------------------

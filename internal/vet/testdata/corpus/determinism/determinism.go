@@ -2,10 +2,8 @@
 // under a synthetic restricted import path; never built normally.
 package corpus
 
-import "sort"
-
-// Registry hides a map behind a named type: the syntactic analyzer
-// cannot see map-ness here, the typed pass can.
+// Registry hides a map behind a named type: only the type checker can
+// see that ranging over it is map iteration.
 type Registry map[string]int
 
 func Spawn(fn func()) {
@@ -17,37 +15,8 @@ func UseChannel(c chan int) { // want "channel types are forbidden"
 	<-c    // want "channel receives are forbidden"
 }
 
-func RangeNamedMap(r Registry) int {
-	total := 0
-	for _, v := range r { // want "iteration over map r"
-		total += v
+func Wait(c chan int) { // want "channel types are forbidden"
+	select { // want "select statements are forbidden"
+	case <-c: // want "channel receives are forbidden"
 	}
-	return total
-}
-
-func RangeSortedCollect(r Registry) []string {
-	var keys []string
-	for k := range r { // allowed: append-only body, sorted after
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func RangeCollectUnsorted(r Registry) []string {
-	var keys []string
-	for k := range r { // want "iteration over map r"
-		keys = append(keys, k)
-	}
-	return keys
-}
-
-// RangeSlice must not be flagged: same identifier shape as a map
-// range, but the type checker knows it is a slice.
-func RangeSlice(xs []int) int {
-	total := 0
-	for _, v := range xs {
-		total += v
-	}
-	return total
 }

@@ -1,22 +1,12 @@
 package corpus
 
-// RangeWaived is suppressed by a well-formed fsvet directive on the
-// line above the finding.
-func RangeWaived(r Registry) int {
+// RangeRetiredWaiver carries a waiver in a retired, non-fsvet syntax:
+// it suppresses nothing, so both the range and the directive are
+// reported.
+func RangeRetiredWaiver(r Registry) int {
 	n := 0
-	//fsvet:ignore determinism corpus: order-insensitive count
-	for range r {
-		n++
-	}
-	return n
-}
-
-// RangeWaivedByFslint is suppressed through the federated fslint
-// directive (determinism covers the typed determinism pass too).
-func RangeWaivedByFslint(r Registry) int {
-	n := 0
-	//fslint:ignore determinism corpus: order-insensitive count
-	for range r {
+	//fslint:ignore determinism corpus: order-insensitive count // want "//fslint:ignore is not an fsvet directive and suppresses nothing"
+	for range r { // want "iteration over map r"
 		n++
 	}
 	return n

@@ -1,5 +1,6 @@
 // Golden corpus for the lockorder pass: held-set propagation, the
-// With idiom, TryAcquire branches, a leak, and an order inversion
+// With idiom, TryAcquire branches, a class-resolved leak (the
+// lock-balance shapes have their own corpus), and an order inversion
 // (the inversion finding attaches to the whole-graph pseudo-file and
 // is asserted directly by the test, not via a want comment).
 package corpus
@@ -51,9 +52,9 @@ func WithNested(ctx lock.Context, p *Pair) {
 
 // Leak can return with A held.
 func Leak(ctx lock.Context, p *Pair, fail bool) bool {
-	p.A.Acquire(ctx)
+	p.A.Acquire(ctx) // want "lock p.A\(ctx\) is not released on a return path"
 	if fail {
-		return false // want "may return while holding \"corpus.a\""
+		return false
 	}
 	p.A.Release(ctx)
 	return true

@@ -13,6 +13,12 @@ func Calls() sim.Time {
 	return total
 }
 
+func RunLoop(loop *sim.Loop) {
+	loop.RunUntil(5000) // want "bare integer 5000 in a sim.Time position"
+	loop.RunUntil(900)
+	loop.RunUntil(5 * sim.Microsecond)
+}
+
 func Convert() sim.Time {
 	return sim.Time(250000) // want "bare integer 250000 in a sim.Time position"
 }

@@ -7,24 +7,23 @@ import (
 	"strconv"
 )
 
-// maxBareTime mirrors fslint: the largest bare integer literal accepted
-// in a sim.Time position. Anything above 1us must be spelled with a
-// unit constant (2*sim.Microsecond) or a named cost, so a reader can
-// tell nanoseconds from microseconds at the use site.
+// maxBareTime is the largest bare integer literal accepted in a
+// sim.Time position. Anything above 1us must be spelled with a unit
+// constant (2*sim.Microsecond) or a named cost, so a reader can tell
+// nanoseconds from microseconds at the use site.
 const maxBareTime = 1000
 
-// checkUnits is the typed units rule. fslint matches call sites by
-// function *name* against an index of sim.Time parameters; this pass
-// asks the type checker what type each integer literal actually takes,
-// so it also catches conversions (sim.Time(5000)), assignments to
-// sim.Time fields and variables, returns, and arithmetic that mixes a
-// bare magnitude into a sim.Time expression — and it does not
-// misfire on same-named functions whose parameter is a plain int.
+// checkUnits asks the type checker what type each integer literal in a
+// restricted package actually takes, so it catches call arguments,
+// conversions (sim.Time(5000)), assignments to sim.Time fields and
+// variables, returns, and arithmetic that mixes a bare magnitude into
+// a sim.Time expression — and it does not misfire on a function whose
+// parameter is a plain int.
 //
 // The unit-constant idiom itself — a literal multiplied by a
 // non-literal sim.Time operand, as in 3*sim.Millisecond — is the fix,
-// not a finding. Composite literals are exempt as in fslint: the
-// calibrated cost tables are where named values are defined.
+// not a finding. Composite literals are exempt: the calibrated cost
+// tables are where named values are defined.
 func (v *vetter) checkUnits() {
 	for _, ip := range v.prog.Paths {
 		if !Restricted(ip) {

@@ -1,12 +1,15 @@
-// Package vet implements fsvet, the types-aware half of the project's
-// static analysis (fslint in internal/analysis is the syntactic fast
-// half). fsvet type-checks the whole module with go/types — go.mod
-// stays dependency-free; only the standard library is used — and runs
-// interprocedural passes the syntactic analyzer cannot express:
+// Package vet implements fsvet, the project's static analyzer. The
+// simulation's published numbers rest on invariants the compiler
+// cannot check — bit-reproducible execution and balanced, consistently
+// ordered spinlocks among them — and fsvet enforces them. It
+// type-checks the whole module, tests included, with go/types (go.mod
+// stays dependency-free; only the standard library is used) and runs
+// these passes:
 //
-//   - determinism: map iteration checked against real types (method-set
-//     resolution instead of name heuristics), with the same
-//     sorted-collect allowance as fslint.
+//   - determinism: restricted packages must not import time,
+//     math/rand or sync, launch goroutines, use channels or select, or
+//     iterate a map (by its real type) unless the loop only collects
+//     into a slice that is sorted afterwards.
 //   - reach: restricted-import reachability — restricted packages must
 //     not reach time/math/rand/sync functionality through any call
 //     chain, not merely avoid importing it directly. Exempt packages
@@ -17,8 +20,11 @@
 //   - lockorder: an interprocedural static lock-order graph. Held
 //     lock.SpinLock class sets propagate across the call graph
 //     (including interface devirtualization, e.g. tcp.Env to
-//     *kernel.Kernel); the pass reports potential order inversions and
-//     functions that can return while holding a lock they acquired.
+//     *kernel.Kernel); the pass reports potential order inversions.
+//     Its lock-balance check, on every package and test file, reports
+//     an Acquire/TryAcquire not released on some return path,
+//     re-acquired while held, carried into the next loop iteration,
+//     or (TryAcquire) not released inside its guarded branch.
 //   - charge: functions in restricted packages that mutate reachable
 //     kernel/TCB/VFS state on some path without charging virtual time
 //     (Charge/Spin, directly or transitively) — simulated work that
@@ -65,10 +71,7 @@
 //	//fsvet:ignore <pass> <reason>
 //
 // on the finding's line or the line above (fsm findings also accept
-// the shorthand //fsvet:fsm <reason>). Existing //fslint:ignore
-// directives are honored too (determinism covers determinism+reach,
-// locks covers lockorder, units covers units), so a waiver audited for
-// fslint does not need to be duplicated. Waivers must earn their keep:
+// the shorthand //fsvet:fsm <reason>). Waivers must earn their keep:
 // a directive that suppresses nothing — no finding on its line or the
 // next — is itself reported as stale, so audited exceptions cannot
 // outlive the code they excused. A committed baseline file (JSON, same
@@ -81,6 +84,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -113,15 +117,6 @@ var knownPasses = map[string]bool{
 	PassShard:       true,
 	PassMailbox:     true,
 	PassFSM:         true,
-}
-
-// fslintRuleCovers maps an //fslint:ignore rule to the fsvet passes it
-// also suppresses: the typed passes re-check the same invariants, so
-// an audited fslint waiver keeps working without duplication.
-var fslintRuleCovers = map[string][]string{
-	"determinism": {PassDeterminism, PassReach},
-	"locks":       {PassLockOrder},
-	"units":       {PassUnits},
 }
 
 // Finding is one fsvet diagnostic with a stable, root-relative anchor.
@@ -166,14 +161,7 @@ func (r *Result) JSON() []byte {
 // Run executes every pass over the program — independent passes run
 // concurrently on a single shared type-checked load — and returns the
 // sorted, unsuppressed findings plus the static lock and fsm graphs.
-func Run(p *Program) *Result { return run(p, true) }
-
-// RunSerial is Run with the passes executed sequentially; fsvet's
-// -bench-out uses it to keep an honest before/after record of the
-// concurrent scheduling in BENCH_vet.json.
-func RunSerial(p *Program) *Result { return run(p, false) }
-
-func run(p *Program, parallel bool) *Result {
+func Run(p *Program) *Result {
 	v := &vetter{prog: p, sup: collectDirectives(p)}
 	v.findings = append(v.findings, v.sup.malformed...)
 
@@ -203,21 +191,15 @@ func run(p *Program, parallel bool) *Result {
 		func() { v.checkMailbox(cg, mk) },
 		func() { fsmGraph = v.checkFSM(cg) },
 	}
-	if parallel {
-		var wg sync.WaitGroup
-		for _, g := range groups {
-			wg.Add(1)
-			go func(g func()) {
-				defer wg.Done()
-				g()
-			}(g)
-		}
-		wg.Wait()
-	} else {
-		for _, g := range groups {
+	var wg sync.WaitGroup
+	for _, g := range groups {
+		wg.Add(1)
+		go func(g func()) {
+			defer wg.Done()
 			g()
-		}
+		}(g)
 	}
+	wg.Wait()
 
 	// Stale waivers: an //fsvet:ignore or //fsvet:fsm directive that
 	// suppressed nothing this run protects nothing and must go.
@@ -334,9 +316,8 @@ type supKey struct {
 
 // trackedDirective is a waiver eligible for staleness reporting:
 // //fsvet:ignore and //fsvet:fsm directives must suppress something
-// every run or be removed. (//fsvet:shared markers and federated
-// //fslint:ignore directives are excluded — the former is state
-// documentation as much as a waiver, the latter is fslint's to audit.)
+// every run or be removed. (//fsvet:shared markers are excluded: they
+// are state documentation as much as waivers.)
 type trackedDirective struct {
 	key  supKey
 	col  int
@@ -364,22 +345,28 @@ func (s *suppressor) suppressed(file string, line int, pass string) bool {
 }
 
 // collectDirectives gathers //fsvet:ignore and //fsvet:fsm directives
-// (and the fslint ones they federate with) across every loaded file.
-// Malformed fsvet directives are findings: they silently protect
-// nothing.
+// across every loaded file, tests included. Malformed directives are
+// findings: they silently protect nothing.
 func collectDirectives(p *Program) *suppressor {
 	s := &suppressor{lines: map[supKey]bool{}, used: map[supKey]bool{}}
 	for _, ip := range p.Paths {
-		for _, file := range p.Files[ip] {
-			for _, cg := range file.Comments {
-				for _, c := range cg.List {
-					s.directive(p, c)
+		for _, files := range [][]*ast.File{p.Files[ip], p.TestFiles[ip]} {
+			for _, file := range files {
+				for _, cg := range file.Comments {
+					for _, c := range cg.List {
+						s.directive(p, c)
+					}
 				}
 			}
 		}
 	}
 	return s
 }
+
+// foreignIgnore matches another tool's line waiver (//<tool>:ignore).
+// fsvet is the only analyzer here, so such a directive — a retired
+// waiver syntax, say — protects nothing and is reported.
+var foreignIgnore = regexp.MustCompile(`^([a-z][a-z0-9]*):ignore\b`)
 
 func (s *suppressor) directive(p *Program, c *ast.Comment) {
 	text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
@@ -419,15 +406,9 @@ func (s *suppressor) directive(p *Program, c *ast.Comment) {
 		if len(strings.Fields(strings.TrimPrefix(text, "fsvet:shared"))) > 0 {
 			s.lines[supKey{tp.Filename, tp.Line, PassShard}] = true
 		}
-	case strings.HasPrefix(text, "fslint:ignore"):
-		// fslint validates its own directives; here we only honor the
-		// well-formed ones for the passes they cover.
-		fields := strings.Fields(strings.TrimPrefix(text, "fslint:ignore"))
-		if len(fields) < 2 {
-			return
-		}
-		for _, pass := range fslintRuleCovers[fields[0]] {
-			s.lines[supKey{tp.Filename, tp.Line, pass}] = true
-		}
+	case foreignIgnore.MatchString(text):
+		s.malformed = append(s.malformed, Finding{File: tp.Filename, Line: tp.Line, Col: tp.Column,
+			Pass: PassDirective, Msg: fmt.Sprintf("//%s:ignore is not an fsvet directive and suppresses nothing: use //fsvet:ignore <pass> <reason>",
+				foreignIgnore.FindStringSubmatch(text)[1])})
 	}
 }

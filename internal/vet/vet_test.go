@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -19,8 +20,9 @@ const repoRoot = "../.."
 
 // corpusOverlay maps synthetic module import paths to the golden
 // corpus directories. Paths under internal/kernel/ inherit
-// restricted-package status exactly as real code would; reachutil sits
-// outside internal/ so it is an unrestricted module helper.
+// restricted-package status exactly as real code would; reachutil and
+// unrestricted sit outside internal/, so they are unrestricted module
+// packages.
 func corpusOverlay(t *testing.T) map[string]string {
 	t.Helper()
 	abs := func(dir string) string {
@@ -35,12 +37,14 @@ func corpusOverlay(t *testing.T) map[string]string {
 		"fastsocket/internal/kernel/vetcorpus_reach":  abs("reach"),
 		"fastsocket/internal/kernel/vetcorpus_units":  abs("units"),
 		"fastsocket/internal/kernel/vetcorpus_locks":  abs("lockorder"),
+		"fastsocket/internal/kernel/vetcorpus_bal":    abs("balance"),
 		"fastsocket/internal/kernel/vetcorpus_charge": abs("charge"),
 		"fastsocket/internal/kernel/vetcorpus_escape": abs("escape"),
 		"fastsocket/internal/kernel/vetcorpus_alloc":  abs("alloc"),
 		"fastsocket/internal/kernel/vetcorpus_shard":  abs("shard"),
 		"fastsocket/internal/kernel/vetcorpus_fsm":    abs("fsm"),
 		"fastsocket/vetcorpus/reachutil":              abs("reachutil"),
+		"fastsocket/vetcorpus/unrestricted":           abs("unrestricted"),
 	}
 }
 
@@ -52,14 +56,17 @@ type expectation struct {
 	re   *regexp.Regexp
 }
 
-// collectWants scans corpus sources for // want "regexp" annotations.
-func collectWants(t *testing.T, overlay map[string]string) []expectation {
+// collectWants scans corpus sources, tests included, for
+// // want "regexp" annotations. It returns every corpus file
+// (root-relative, sorted) and the expectations per file.
+func collectWants(t *testing.T, overlay map[string]string) ([]string, map[string][]expectation) {
 	t.Helper()
 	root, err := filepath.Abs(repoRoot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wants []expectation
+	var files []string
+	wants := map[string][]expectation{}
 	for _, dir := range overlay {
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -78,6 +85,8 @@ func collectWants(t *testing.T, overlay map[string]string) []expectation {
 			if err != nil {
 				t.Fatal(err)
 			}
+			rel = filepath.ToSlash(rel)
+			files = append(files, rel)
 			sc := bufio.NewScanner(f)
 			for ln := 1; sc.Scan(); ln++ {
 				m := wantRe.FindStringSubmatch(sc.Text())
@@ -88,7 +97,7 @@ func collectWants(t *testing.T, overlay map[string]string) []expectation {
 				if err != nil {
 					t.Fatalf("%s:%d: bad want pattern %q: %v", rel, ln, m[1], err)
 				}
-				wants = append(wants, expectation{file: filepath.ToSlash(rel), line: ln, re: re})
+				wants[rel] = append(wants[rel], expectation{file: rel, line: ln, re: re})
 			}
 			f.Close()
 			if err := sc.Err(); err != nil {
@@ -96,13 +105,18 @@ func collectWants(t *testing.T, overlay map[string]string) []expectation {
 			}
 		}
 	}
-	return wants
+	sort.Strings(files)
+	return files, wants
 }
 
+// corpusDir is the root-relative home of the golden corpus.
+const corpusDir = "internal/vet/testdata/corpus/"
+
 // TestGoldenCorpus loads the repository plus the corpus overlays and
-// checks every pass against the annotated expectations. It doubles as
-// the repository-cleanliness gate: any finding outside the corpus is a
-// failure (the committed baseline is empty).
+// checks every pass against the annotated expectations, one subtest per
+// corpus file. It doubles as the repository-cleanliness gate: any
+// finding outside the corpus is a failure (the committed baseline is
+// empty).
 func TestGoldenCorpus(t *testing.T) {
 	overlay := corpusOverlay(t)
 	prog, err := LoadWithOverlay(repoRoot, overlay)
@@ -111,77 +125,57 @@ func TestGoldenCorpus(t *testing.T) {
 	}
 	res := Run(prog)
 
-	wants := collectWants(t, overlay)
+	files, wants := collectWants(t, overlay)
 	// Reasonless-directive cases cannot carry want comments (the
 	// comment would join the directive); assert them explicitly.
-	wants = append(wants,
-		expectation{
-			file: "internal/vet/testdata/corpus/determinism/directives.go",
-			line: 30,
-			re:   regexp.MustCompile(`fsvet:ignore units needs a reason`),
-		},
-		expectation{
-			file: "internal/vet/testdata/corpus/shard/directives.go",
-			line: 7,
-			re:   regexp.MustCompile(`fsvet:percore needs a reason`),
-		},
-		expectation{
-			file: "internal/vet/testdata/corpus/shard/directives.go",
-			line: 10,
-			re:   regexp.MustCompile(`fsvet:shared needs a reason`),
-		},
-		expectation{
-			file: "internal/vet/testdata/corpus/shard/directives.go",
-			line: 13,
-			re:   regexp.MustCompile(`fsvet:mailbox needs a reason`),
-		},
-		expectation{
-			file: "internal/vet/testdata/corpus/fsm/fsm.go",
-			line: 121,
-			re:   regexp.MustCompile(`fsvet:fsm needs a reason`),
-		},
-	)
-
-	inCorpus := func(f Finding) bool {
-		return strings.HasPrefix(f.File, "internal/vet/testdata/")
+	for _, w := range []expectation{
+		{file: corpusDir + "determinism/directives.go", line: 20, re: regexp.MustCompile(`fsvet:ignore units needs a reason`)},
+		{file: corpusDir + "shard/directives.go", line: 7, re: regexp.MustCompile(`fsvet:percore needs a reason`)},
+		{file: corpusDir + "shard/directives.go", line: 10, re: regexp.MustCompile(`fsvet:shared needs a reason`)},
+		{file: corpusDir + "shard/directives.go", line: 13, re: regexp.MustCompile(`fsvet:mailbox needs a reason`)},
+		{file: corpusDir + "fsm/fsm.go", line: 121, re: regexp.MustCompile(`fsvet:fsm needs a reason`)},
+	} {
+		wants[w.file] = append(wants[w.file], w)
 	}
 
-	var repoFindings, corpusFindings, graphFindings, fsmGraphFindings []Finding
+	var graphFindings, fsmGraphFindings []Finding
+	corpusFindings := map[string][]Finding{}
 	for _, f := range res.Findings {
 		switch {
 		case f.File == "(lock-order graph)":
 			graphFindings = append(graphFindings, f)
 		case f.File == "(fsm graph)":
 			fsmGraphFindings = append(fsmGraphFindings, f)
-		case inCorpus(f):
-			corpusFindings = append(corpusFindings, f)
+		case strings.HasPrefix(f.File, corpusDir):
+			corpusFindings[f.File] = append(corpusFindings[f.File], f)
 		default:
-			repoFindings = append(repoFindings, f)
+			t.Errorf("repository is not fsvet-clean: %s", f)
 		}
 	}
 
-	for _, f := range repoFindings {
-		t.Errorf("repository is not fsvet-clean: %s", f)
-	}
-
-	matched := make([]bool, len(wants))
-	for _, f := range corpusFindings {
-		ok := false
-		for i, w := range wants {
-			if !matched[i] && w.file == f.File && w.line == f.Line && w.re.MatchString(f.Msg) {
-				matched[i] = true
-				ok = true
-				break
+	for _, file := range files {
+		t.Run(strings.TrimPrefix(file, corpusDir), func(t *testing.T) {
+			want := wants[file]
+			matched := make([]bool, len(want))
+			for _, f := range corpusFindings[file] {
+				ok := false
+				for i, w := range want {
+					if !matched[i] && w.line == f.Line && w.re.MatchString(f.Msg) {
+						matched[i] = true
+						ok = true
+						break
+					}
+				}
+				if !ok {
+					t.Errorf("unexpected corpus finding: %s", f)
+				}
 			}
-		}
-		if !ok {
-			t.Errorf("unexpected corpus finding: %s", f)
-		}
-	}
-	for i, w := range wants {
-		if !matched[i] {
-			t.Errorf("missing finding: %s:%d want match for %q", w.file, w.line, w.re)
-		}
+			for i, w := range want {
+				if !matched[i] {
+					t.Errorf("missing finding: %s:%d want match for %q", w.file, w.line, w.re)
+				}
+			}
+		})
 	}
 
 	// The corpus inversion (corpus.a <-> corpus.b) must surface as a
@@ -280,6 +274,38 @@ func TestRunIsDeterministic(t *testing.T) {
 	for _, pass := range []string{PassAlloc, PassShard, PassFSM} {
 		if !bytes.Contains(out[0], []byte(`"`+pass+`"`)) {
 			t.Errorf("determinism run produced no %s findings — the corpus should provoke some", pass)
+		}
+	}
+}
+
+// TestRestrictedPathMatching pins which import paths the
+// restricted-package rules apply to: internal/<name> packages in the
+// restricted set and everything below them, never a package that only
+// shares a name prefix, never an exempt package, never code outside
+// internal/.
+func TestRestrictedPathMatching(t *testing.T) {
+	for _, c := range []struct {
+		path string
+		want bool
+	}{
+		{"fastsocket/internal/sim", true},
+		{"fastsocket/internal/experiment", true},
+		{"fastsocket/internal/fault", true},
+		{"fastsocket/internal/kernel/vetcorpus_det", true},
+		{"fastsocket/internal/simx", false},
+		{"fastsocket/internal/app", false},
+		{"fastsocket/internal/vet", false},
+		// sweep and shard use goroutines by design; their exemption
+		// keeps them outside even though they live under internal/.
+		{"fastsocket/internal/sweep", false},
+		{"fastsocket/internal/shard", false},
+		{"fastsocket/cmd/fsvet", false},
+		{"fastsocket/examples/quickstart", false},
+		{"fastsocket", false},
+		{"fastsocket/vetcorpus/unrestricted", false},
+	} {
+		if got := Restricted(c.path); got != c.want {
+			t.Errorf("Restricted(%q) = %v, want %v", c.path, got, c.want)
 		}
 	}
 }
