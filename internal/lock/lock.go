@@ -80,7 +80,8 @@ const PruneHorizon = 2 * sim.Millisecond
 type SpinLock struct {
 	name string
 
-	intervals []interval // disjoint, sorted by start
+	intervals []interval // disjoint, sorted by start; live from head
+	head      int        // intervals[:head] are pruned, awaiting reclaim
 	holds     []holdRec
 	avgHold   sim.Time // EWMA of hold durations, sizes gap-fitting
 
@@ -128,6 +129,7 @@ func (l *SpinLock) ResetStats() { l.stats = Stats{} }
 // list: a reset lock is observationally identical to lock.New's.
 func (l *SpinLock) Reset() {
 	l.intervals = l.intervals[:0]
+	l.head = 0
 	l.holds = l.holds[:0]
 	l.avgHold = 0
 	l.recent1.core, l.recent1.at = -1, 0
@@ -143,10 +145,9 @@ func (l *SpinLock) slotAt(ta sim.Time) sim.Time {
 		need = 1
 	}
 	t := ta
-	for _, iv := range l.intervals {
-		if iv.end <= t {
-			continue
-		}
+	// Intervals ending before ta cannot delay it, so gap fitting starts
+	// at the first one ending at or after ta.
+	for _, iv := range l.intervals[l.firstEndFrom(ta):] {
 		if iv.start <= t {
 			t = iv.end
 			continue
@@ -160,40 +161,56 @@ func (l *SpinLock) slotAt(ta sim.Time) sim.Time {
 	return t
 }
 
-// prune drops intervals that no future acquirer can observe.
-func (l *SpinLock) prune(ta sim.Time) {
-	cut := 0
-	for cut < len(l.intervals) && l.intervals[cut].end < ta-PruneHorizon {
-		cut++
+// firstEndFrom returns the index of the first live interval ending at
+// or after t. Disjoint intervals sorted by start are sorted by end too.
+func (l *SpinLock) firstEndFrom(t sim.Time) int {
+	lo, hi := l.head, len(l.intervals)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if l.intervals[m].end >= t {
+			hi = m
+		} else {
+			lo = m + 1
+		}
 	}
-	if cut > 0 {
-		l.intervals = append(l.intervals[:0], l.intervals[cut:]...)
-	}
+	return lo
 }
 
-// insert merges [start, end] into the timeline.
+// prune retires intervals that no future acquirer can observe: those
+// ending before ta-PruneHorizon. It only advances head; insert
+// reclaims the dead prefix when the backing array fills.
+func (l *SpinLock) prune(ta sim.Time) {
+	l.head = l.firstEndFrom(ta - PruneHorizon)
+}
+
+// insert merges [start, end] into the timeline. Only the intervals it
+// touches, a contiguous run starting at the first one ending at or
+// after start, merge with it; the rest of the timeline stays as is.
 func (l *SpinLock) insert(start, end sim.Time) {
-	// Find insertion point from the back (releases are usually the
-	// newest interval).
-	i := len(l.intervals)
-	for i > 0 && l.intervals[i-1].start > start {
-		i--
+	i := l.firstEndFrom(start)
+	j := i
+	for j < len(l.intervals) && l.intervals[j].start <= end {
+		start = min(start, l.intervals[j].start)
+		end = max(end, l.intervals[j].end)
+		j++
 	}
-	l.intervals = append(l.intervals, interval{})
-	copy(l.intervals[i+1:], l.intervals[i:])
-	l.intervals[i] = interval{start, end}
-	// Merge neighbours.
-	out := l.intervals[:0]
-	for _, iv := range l.intervals {
-		if n := len(out); n > 0 && iv.start <= out[n-1].end {
-			if iv.end > out[n-1].end {
-				out[n-1].end = iv.end
-			}
-			continue
+	if j > i {
+		// Collapse intervals[i:j] into slot i.
+		n := i + 1 + copy(l.intervals[i+1:], l.intervals[j:])
+		l.intervals = l.intervals[:n]
+	} else {
+		// Nothing merged: open a slot at i, first reclaiming the
+		// pruned prefix if the backing array is full.
+		if len(l.intervals) == cap(l.intervals) && l.head > 0 {
+			n := copy(l.intervals, l.intervals[l.head:])
+			l.intervals = l.intervals[:n]
+			i -= l.head
+			l.head = 0
 		}
-		out = append(out, iv)
+		l.intervals = append(l.intervals, interval{})
+		copy(l.intervals[i+1:], l.intervals[i:])
 	}
-	l.intervals = out
+	l.intervals[i] = interval{start, end}
 }
 
 // Acquire takes the lock in context c, spinning (in simulated time)

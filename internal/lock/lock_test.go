@@ -1,6 +1,8 @@
 package lock
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -123,7 +125,7 @@ func TestTryAcquire(t *testing.T) {
 	a.Charge(100)
 	l.Release(a)
 
-	// Before freeAt: fails without spinning.
+	// Inside the busy interval [0, 100]: fails without spinning.
 	b := &fakeCtx{now: 50, core: 1}
 	//fsvet:ignore lockorder success is the failure case here and fails the test
 	if l.TryAcquire(b) {
@@ -132,7 +134,7 @@ func TestTryAcquire(t *testing.T) {
 	if b.now != 50 {
 		t.Errorf("failed TryAcquire advanced time to %v", b.now)
 	}
-	// After freeAt: succeeds.
+	// After the busy interval: succeeds.
 	c := &fakeCtx{now: 150, core: 1}
 	if !l.TryAcquire(c) {
 		t.Error("TryAcquire failed on free lock")
@@ -231,29 +233,166 @@ func TestSerializationBound(t *testing.T) {
 
 func TestTimelineIntervalsDisjointProperty(t *testing.T) {
 	// Property: after any sequence of acquisitions at arbitrary
-	// virtual times with arbitrary hold durations, the lock's busy
-	// timeline remains sorted and non-overlapping — the invariant
-	// that makes serialization sound.
+	// virtual times with arbitrary hold durations, the lock's live
+	// busy timeline remains sorted and non-overlapping — the invariant
+	// that makes serialization sound. Every four consecutive ops land
+	// out of order in one dense 1 µs window, so they contend; the
+	// windows sit a millisecond apart, so the run spans several prune
+	// horizons and prune cuts the timeline along the way.
+	cases, contended, cut := 0, 0, 0
 	f := func(ops []uint16) bool {
 		l := New("prop", 0)
+		pruned := false
 		for i, op := range ops {
-			at := sim.Time(op % 4096)
+			at := sim.Time(i/4)*sim.Millisecond + sim.Time(op%1024)
 			hold := sim.Time(op%97) + 1
 			c := &fakeCtx{now: at, core: i % 8}
 			l.Acquire(c)
+			pruned = pruned || l.head > 0 // Release may reclaim it
 			c.Charge(hold)
 			l.Release(c)
-			for j := 1; j < len(l.intervals); j++ {
-				prev, cur := l.intervals[j-1], l.intervals[j]
-				if cur.start < prev.end {
-					return false // overlap
+			live := l.intervals[l.head:]
+			for j := 1; j < len(live); j++ {
+				if live[j].start <= live[j-1].end {
+					return false // unsorted, overlapping or touching
 				}
 			}
+		}
+		cases++
+		if l.Stats().Contended > 0 {
+			contended++
+		}
+		if pruned {
+			cut++
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+	// Both paths must fire in most cases, or the property is vacuous.
+	if contended*2 < cases || cut*2 < cases {
+		t.Errorf("of %d cases, %d contended and %d pruned; want a majority of each",
+			cases, contended, cut)
+	}
+}
+
+// refTimeline is the original linear busy-interval timeline: slotAt
+// scans from the start, prune memmoves the survivors down, and insert
+// re-merges the whole slice. It is the oracle for SpinLock's
+// binary-searched version.
+type refTimeline struct {
+	intervals []interval
+	avgHold   sim.Time
+}
+
+func (r *refTimeline) slotAt(ta sim.Time) sim.Time {
+	need := r.avgHold
+	if need <= 0 {
+		need = 1
+	}
+	t := ta
+	for _, iv := range r.intervals {
+		if iv.end <= t {
+			continue
+		}
+		if iv.start <= t {
+			t = iv.end
+			continue
+		}
+		if iv.start-t >= need {
+			break
+		}
+		t = iv.end
+	}
+	return t
+}
+
+func (r *refTimeline) prune(ta sim.Time) {
+	cut := 0
+	for cut < len(r.intervals) && r.intervals[cut].end < ta-PruneHorizon {
+		cut++
+	}
+	if cut > 0 {
+		r.intervals = append(r.intervals[:0], r.intervals[cut:]...)
+	}
+}
+
+func (r *refTimeline) insert(start, end sim.Time) {
+	i := len(r.intervals)
+	for i > 0 && r.intervals[i-1].start > start {
+		i--
+	}
+	r.intervals = append(r.intervals, interval{})
+	copy(r.intervals[i+1:], r.intervals[i:])
+	r.intervals[i] = interval{start, end}
+	out := r.intervals[:0]
+	for _, iv := range r.intervals {
+		if n := len(out); n > 0 && iv.start <= out[n-1].end {
+			if iv.end > out[n-1].end {
+				out[n-1].end = iv.end
+			}
+			continue
+		}
+		out = append(out, iv)
+	}
+	r.intervals = out
+}
+
+func TestTimelineMatchesLinearReference(t *testing.T) {
+	// Property: on seeded random mixes of prune, slotAt and insert —
+	// out-of-order acquirers up to 50 µs behind the clock, holds in
+	// [0, 400) ns, over more than ten prune horizons — the
+	// binary-searched timeline gives the same slotAt answers as the
+	// linear original and holds exactly the same live intervals after
+	// every step.
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		l := New("equiv", 0)
+		var ref refTimeline
+		var now sim.Time
+		cuts, reclaims, grows := 0, 0, 0
+		for step := 0; now < 12*PruneHorizon; step++ {
+			now += sim.Time(rng.Intn(1500))
+			ta := now - sim.Time(rng.Intn(50_000))
+			hold := sim.Time(rng.Intn(400))
+			l.avgHold, ref.avgHold = hold, hold
+			switch op := rng.Intn(10); {
+			case op < 3:
+				head := l.head
+				l.prune(ta)
+				ref.prune(ta)
+				if l.head > head {
+					cuts++
+				}
+			case op < 5:
+				if got, want := l.slotAt(ta), ref.slotAt(ta); got != want {
+					t.Fatalf("seed %d step %d: slotAt(%v) = %v, want %v", seed, step, ta, got, want)
+				}
+			default:
+				start := ta
+				if op < 8 {
+					start = ref.slotAt(ta) // a granted acquisition
+				}
+				head, capBefore := l.head, cap(l.intervals)
+				l.insert(start, start+hold)
+				ref.insert(start, start+hold)
+				if head > 0 && l.head == 0 {
+					reclaims++
+				}
+				if cap(l.intervals) > capBefore {
+					grows++
+				}
+			}
+			if !slices.Equal(l.intervals[l.head:], ref.intervals) {
+				t.Fatalf("seed %d step %d: live timeline diverged:\n got %v\nwant %v",
+					seed, step, l.intervals[l.head:], ref.intervals)
+			}
+		}
+		if cuts == 0 || reclaims == 0 || grows == 0 {
+			t.Errorf("seed %d: cutting prunes %d, reclaims %d, grows %d; want all nonzero",
+				seed, cuts, reclaims, grows)
+		}
 	}
 }
 
@@ -304,4 +443,38 @@ func TestSaturatedLockSerializes(t *testing.T) {
 	if maxEnd < 64*hold {
 		t.Errorf("64 x %dns holds finished by %v — lock did not serialize", hold, maxEnd)
 	}
+}
+
+func BenchmarkSpinLockTimeline(b *testing.B) {
+	// 8 fake cores take turns around a clock that advances 5 µs per
+	// acquisition, each acquirer up to 20 µs ahead of or behind it, so
+	// the live timeline holds a few hundred intervals
+	// (PruneHorizon / 5 µs) and releases land out of order.
+	l := New("bench", 0)
+	var cores [8]fakeCtx
+	for i := range cores {
+		cores[i].core = i
+	}
+	var clock sim.Time
+	x := uint64(1)
+	step := func() {
+		x ^= x << 13 // xorshift64
+		x ^= x >> 7
+		x ^= x << 17
+		c := &cores[x%8]
+		clock += 5 * sim.Microsecond
+		c.now = clock + sim.Time(x>>8%40_000) - 20*sim.Microsecond
+		l.Acquire(c)
+		c.Charge(100 + sim.Time(x>>32%200))
+		l.Release(c)
+	}
+	for i := 0; i < 10_000; i++ {
+		step() // reach steady-state timeline length and capacity
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+	b.ReportMetric(float64(len(l.intervals)-l.head), "live-intervals")
 }
