@@ -43,12 +43,15 @@ vet:
 
 # Shard gate: the conservative-lookahead engine's equality suite under
 # the race detector — engine unit tests (parallel == serial traces,
-# deterministic Pending/Fired aggregation) plus the experiment digest
-# suite (Figure 4/5, Table 1, loss sweep, overload ramp bit-identical
-# between Shards=1 and Shards>1, with mailbox traffic asserted
-# non-vacuous).
+# deterministic Pending/Fired aggregation), again with one P so the
+# barrier runs with more workers than Ps and a livelock there fails
+# (-count=1 because the test cache does not key on GOMAXPROCS), plus
+# the experiment digest suite (Figure 4/5, Table 1, loss sweep,
+# overload ramp bit-identical between Shards=1 and Shards>1, with
+# mailbox traffic asserted non-vacuous).
 shardgate:
 	go test -race ./internal/shard
+	GOMAXPROCS=1 go test -race -count=1 ./internal/shard
 	go test -race -run 'TestShardDigest' ./internal/experiment
 
 # Offload gate: the NIC offload model's invariants. GRO merge boundary

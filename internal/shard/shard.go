@@ -25,12 +25,20 @@
 // same algorithm with the domains stepped in index order on the
 // calling goroutine: the serial reference the race-checked equality
 // tests compare against.
+//
+// With more workers, the goroutine that calls Run is worker 0 and
+// Workers-1 helper goroutines step the rest. A window is released by
+// bumping an atomic epoch and completed by counting helpers down on an
+// atomic; both sides spin briefly before parking, so a window costs no
+// goroutine handoff in the common case.
 package shard
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"fastsocket/internal/sim"
 )
@@ -85,7 +93,7 @@ func (b *batch) Less(i, j int) bool {
 // Stats counts engine activity (all deterministic).
 type Stats struct {
 	Epochs  uint64 // barrier windows executed
-	Posted  uint64 // cross-domain injections mailed
+	Posted  uint64 // cross-domain injections mailed, delivered or not
 	Drained uint64 // injections delivered into destination loops
 }
 
@@ -102,15 +110,74 @@ type Engine struct {
 	running bool
 	stats   Stats
 
-	workers []*worker
+	// Barrier state, used only with helpers. The coordinator writes
+	// until (and closing) and then bumps epoch; a helper that loads the
+	// new epoch therefore sees them, the drained mail and every loop's
+	// state as of the barrier. A helper publishes its window the same
+	// way through its decrement of left, which the coordinator loads.
+	own     []*sim.Loop // worker 0's domains, stepped by the caller of Run
+	workers []*worker   // helpers 1..Workers-1
+	until   sim.Time    // end of the released window
+	closing bool        // the released epoch tells helpers to exit
+	epoch   atomic.Uint64
+	left    atomic.Int32 // helpers still running the released window
+	coord   parker       // the caller of Run, waiting for left == 0
 	wg      sync.WaitGroup
 }
 
-// worker steps a fixed subset of domains each window.
+// worker is a helper goroutine stepping a fixed subset of domains each
+// window.
 type worker struct {
-	start chan sim.Time
-	done  chan struct{}
+	parker
 	loops []*sim.Loop
+	epoch uint64 // last epoch this helper ran; helper-owned
+}
+
+// spinYields bounds how long a waiting side polls before it parks. A
+// yield costs 0.2-0.4 µs on a 2-CPU Xeon host, so this is a fraction of
+// a millisecond: enough to cover the spread between workers' shares of
+// a busy window plus the serial drain, short enough that an idle
+// engine's helpers park soon. Polling yields the P, so it also holds up
+// when workers outnumber Ps. A variable only so tests can set it to 0
+// and park on every window; change it only while no helper runs.
+var spinYields = 1000
+
+// parker is one side of the barrier: it waits for a condition the
+// other side makes true.
+type parker struct {
+	asleep atomic.Bool
+	wake   chan struct{} // cap 1; a token means "re-check"
+}
+
+// wait returns once ready holds. It polls for up to spinYields yields,
+// then parks. It raises asleep before its last re-check, and signal runs
+// after the other side made ready true, so with sequentially consistent
+// atomics at least one of them sees the other's write and no wakeup is
+// lost. A token left by a signal that raced a successful re-check costs
+// one spurious re-check at the next park.
+func (p *parker) wait(ready func() bool) {
+	for i := 0; i < spinYields; i++ {
+		if ready() {
+			return
+		}
+		runtime.Gosched()
+	}
+	p.asleep.Store(true)
+	for !ready() {
+		<-p.wake
+	}
+	p.asleep.Store(false)
+}
+
+// signal wakes p if it is parked or about to park. Call it after making
+// p's condition true.
+func (p *parker) signal() {
+	if p.asleep.Load() {
+		select {
+		case p.wake <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // NewEngine builds an engine; add domains before the first Run.
@@ -175,8 +242,18 @@ func (e *Engine) IndexOf(l *sim.Loop) int {
 // least here, and no event before it remains anywhere.
 func (e *Engine) Now() sim.Time { return e.now }
 
-// Stats returns the engine counters.
-func (e *Engine) Stats() Stats { return e.stats }
+// Stats returns the engine counters. Posted sums the per-mailbox
+// sequence counters, which only their source domain writes during a
+// window, so call Stats between Run calls.
+func (e *Engine) Stats() Stats {
+	st := e.stats
+	for _, row := range e.mail {
+		for _, mb := range row {
+			st.Posted += mb.seq
+		}
+	}
+	return st
+}
 
 // Post mails fn(arg) to run at time at on domain dst, from domain
 // src. Same-domain posts schedule directly. Cross-domain posts must
@@ -209,33 +286,53 @@ func (e *Engine) freeze() {
 		w = n
 	}
 	if w > 1 {
-		e.workers = make([]*worker, w)
+		e.workers = make([]*worker, w-1)
 		for j := range e.workers {
-			e.workers[j] = &worker{
-				start: make(chan sim.Time),
-				done:  make(chan struct{}),
-			}
+			e.workers[j] = &worker{parker: parker{wake: make(chan struct{}, 1)}}
 		}
+		e.coord.wake = make(chan struct{}, 1)
 		// Domains are dealt round-robin so heterogeneous mixes (the
 		// harness adds all servers, then all clients) spread evenly.
 		for i, l := range e.loops {
-			e.workers[i%w].loops = append(e.workers[i%w].loops, l)
+			if j := i % w; j == 0 {
+				e.own = append(e.own, l)
+			} else {
+				e.workers[j-1].loops = append(e.workers[j-1].loops, l)
+			}
 		}
 		for _, wk := range e.workers {
 			e.wg.Add(1)
-			go wk.run(&e.wg)
+			go e.help(wk)
 		}
 	}
 	e.running = true
 }
 
-func (wk *worker) run(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for until := range wk.start {
-		for _, l := range wk.loops {
-			l.RunUntil(until)
+// help is a helper's loop: wait for the next epoch, run its domains to
+// the released window's end, count itself out.
+func (e *Engine) help(wk *worker) {
+	defer e.wg.Done()
+	for {
+		wk.wait(func() bool { return e.epoch.Load() != wk.epoch })
+		wk.epoch++ // the coordinator bumps once per window, then waits for us
+		if e.closing {
+			return
 		}
-		wk.done <- struct{}{}
+		for _, l := range wk.loops {
+			l.RunUntil(e.until)
+		}
+		if e.left.Add(-1) == 0 {
+			e.coord.signal()
+		}
+	}
+}
+
+// release publishes a new epoch to the helpers and wakes any that
+// parked.
+func (e *Engine) release() {
+	e.epoch.Add(1)
+	for _, wk := range e.workers {
+		wk.signal()
 	}
 }
 
@@ -268,21 +365,22 @@ func (e *Engine) drain(w sim.Time) {
 		for _, it := range mg.items {
 			e.loops[d].AtArg(it.at, it.fn, it.arg)
 			e.stats.Drained++
-			e.stats.Posted++
 		}
 	}
 }
 
-// step runs every domain to exactly w, in parallel when workers
-// exist, else in index order on the caller.
+// step runs every domain to exactly w, in parallel when helpers
+// exist (the caller steps worker 0's domains), else in index order on
+// the caller.
 func (e *Engine) step(w sim.Time) {
 	if len(e.workers) > 0 {
-		for _, wk := range e.workers {
-			wk.start <- w
+		e.until = w
+		e.left.Store(int32(len(e.workers)))
+		e.release()
+		for _, l := range e.own {
+			l.RunUntil(w)
 		}
-		for _, wk := range e.workers {
-			<-wk.done
-		}
+		e.coord.wait(func() bool { return e.left.Load() == 0 })
 	} else {
 		for _, l := range e.loops {
 			l.RunUntil(w)
@@ -324,12 +422,15 @@ func (e *Engine) Run(until sim.Time) {
 	}
 }
 
-// Close releases the worker goroutines. Safe to call more than once;
-// an engine that never ran parallel workers closes trivially.
+// Close wakes and joins the helper goroutines. Safe to call more than
+// once; an engine that never ran parallel workers closes trivially. A
+// later Run steps every domain on the caller.
 func (e *Engine) Close() {
-	for _, wk := range e.workers {
-		close(wk.start)
+	if len(e.workers) == 0 {
+		return
 	}
+	e.closing = true
+	e.release()
 	e.wg.Wait()
 	e.workers = nil
 }

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"fastsocket/internal/sim"
 )
@@ -12,9 +14,10 @@ import (
 // per-domain because during a window only that domain's worker may
 // touch its state; cross-domain convergence (several sources mailing
 // one destination for the same tick) makes the (at, src, seq) drain
-// order load-bearing, not decorative.
-func ringTrace(workers, domains int, until sim.Time) ([][]uint64, *Engine) {
-	const hop = 50 * sim.Microsecond
+// order load-bearing, not decorative. Times scale with the hop (the
+// lookahead); step > 0 advances the engine in Run calls of that size
+// instead of one.
+func ringTrace(workers, domains int, hop, until, step sim.Time) ([][]uint64, *Engine) {
 	e := NewEngine(Config{Lookahead: hop, Workers: workers})
 	loops := make([]*sim.Loop, domains)
 	rngs := make([]*sim.Rand, domains)
@@ -31,7 +34,7 @@ func ringTrace(workers, domains int, until sim.Time) ([][]uint64, *Engine) {
 			traces[i] = append(traces[i], uint64(loops[i].Now())<<16|token&0xFFFF)
 			// Local churn: schedule-and-cancel plus a short local event,
 			// drawn from the domain's own stream.
-			ev := loops[i].After(sim.Time(rngs[i].Intn(40))*sim.Microsecond, func() {})
+			ev := loops[i].After(sim.Time(rngs[i].Intn(40))*hop/50, func() {})
 			if rngs[i].Bool(0.5) {
 				ev.Cancel()
 			}
@@ -48,7 +51,12 @@ func ringTrace(workers, domains int, until sim.Time) ([][]uint64, *Engine) {
 	// Seed several tokens per domain at staggered times.
 	for i := 0; i < domains; i++ {
 		for t := 0; t < 3; t++ {
-			loops[i].AtArg(sim.Time(t+1)*13*sim.Microsecond, hopFn[i], uint64(t))
+			loops[i].AtArg(sim.Time(t+1)*hop*13/50, hopFn[i], uint64(t))
+		}
+	}
+	if step > 0 {
+		for t := step; t < until; t += step {
+			e.Run(t)
 		}
 	}
 	e.Run(until)
@@ -56,14 +64,35 @@ func ringTrace(workers, domains int, until sim.Time) ([][]uint64, *Engine) {
 	return traces, e
 }
 
-// TestParallelMatchesSerial is the engine's core promise: the trace of
-// every domain-local observation is bit-identical whether the domains
-// run on one goroutine or several. Run under -race this also proves
-// the barrier protocol is well-synchronized.
-func TestParallelMatchesSerial(t *testing.T) {
-	const domains = 5
-	until := 20 * sim.Millisecond
-	ref, refEng := ringTrace(1, domains, until)
+// sameTrace fails t unless a parallel run reproduced the serial
+// reference: every domain's trace, the fired count and the stats.
+func sameTrace(t *testing.T, workers int, ref, got [][]uint64, refEng, eng *Engine) {
+	t.Helper()
+	for d := range ref {
+		if len(got[d]) != len(ref[d]) {
+			t.Fatalf("workers=%d domain %d: %d observations vs %d serial",
+				workers, d, len(got[d]), len(ref[d]))
+		}
+		for i := range ref[d] {
+			if got[d][i] != ref[d][i] {
+				t.Fatalf("workers=%d domain %d: trace diverges at %d: %#x vs %#x",
+					workers, d, i, got[d][i], ref[d][i])
+			}
+		}
+	}
+	if eng.Fired() != refEng.Fired() {
+		t.Fatalf("workers=%d: fired %d vs serial %d", workers, eng.Fired(), refEng.Fired())
+	}
+	if eng.Stats() != refEng.Stats() {
+		t.Fatalf("workers=%d: stats %+v vs serial %+v", workers, eng.Stats(), refEng.Stats())
+	}
+}
+
+// serialRef runs ringTrace's serial reference and fails t unless it
+// fired events and mailed across domains.
+func serialRef(t *testing.T, domains int, hop, until, step sim.Time) ([][]uint64, *Engine) {
+	t.Helper()
+	ref, refEng := ringTrace(1, domains, hop, until, step)
 	total := 0
 	for _, tr := range ref {
 		total += len(tr)
@@ -74,27 +103,100 @@ func TestParallelMatchesSerial(t *testing.T) {
 	if refEng.Stats().Posted == 0 {
 		t.Fatal("no cross-domain mail; test is vacuous")
 	}
-	for _, workers := range []int{2, 3, 8} {
-		got, eng := ringTrace(workers, domains, until)
-		for d := range ref {
-			if len(got[d]) != len(ref[d]) {
-				t.Fatalf("workers=%d domain %d: %d observations vs %d serial",
-					workers, d, len(got[d]), len(ref[d]))
-			}
-			for i := range ref[d] {
-				if got[d][i] != ref[d][i] {
-					t.Fatalf("workers=%d domain %d: trace diverges at %d: %#x vs %#x",
-						workers, d, i, got[d][i], ref[d][i])
-				}
-			}
-		}
-		if eng.Fired() != refEng.Fired() {
-			t.Fatalf("workers=%d: fired %d vs serial %d", workers, eng.Fired(), refEng.Fired())
-		}
-		if eng.Stats() != refEng.Stats() {
-			t.Fatalf("workers=%d: stats %+v vs serial %+v", workers, eng.Stats(), refEng.Stats())
+	return ref, refEng
+}
+
+// TestParallelMatchesSerial is the engine's core promise: the trace of
+// every domain-local observation is bit-identical whether the domains
+// run on one goroutine or several. Run under -race this also proves
+// the barrier protocol is well-synchronized. The last case runs four
+// workers on one P, so spinners outnumber Ps and must still finish.
+func TestParallelMatchesSerial(t *testing.T) {
+	const domains = 5
+	const hop = 50 * sim.Microsecond
+	until := 20 * sim.Millisecond
+	ref, refEng := serialRef(t, domains, hop, until, 0)
+	for _, c := range []struct{ workers, procs int }{{2, 0}, {3, 0}, {8, 0}, {4, 1}} {
+		prev := runtime.GOMAXPROCS(c.procs)
+		got, eng := ringTrace(c.workers, domains, hop, until, 0)
+		runtime.GOMAXPROCS(prev)
+		sameTrace(t, c.workers, ref, got, refEng, eng)
+	}
+}
+
+// TestTinyStepsMatchSerial hammers the release/arrival handshake:
+// thousands of 1 ns Run calls make every barrier nearly empty, so a
+// lost wakeup would hang and a missing happens-before edge would show
+// under -race. With spinYields at 0 every wait parks, which is where a
+// lost wakeup lives; the spinning runs rarely get that far.
+func TestTinyStepsMatchSerial(t *testing.T) {
+	const domains = 5
+	const hop = 100 * sim.Nanosecond
+	until := 4 * sim.Microsecond
+	ref, refEng := serialRef(t, domains, hop, until, 1)
+	if refEng.Stats().Epochs < 2*uint64(until) {
+		t.Fatalf("%d epochs; want two per 1 ns step", refEng.Stats().Epochs)
+	}
+	defer func(n int) { spinYields = n }(spinYields)
+	for _, spin := range []int{spinYields, 0} {
+		spinYields = spin
+		for _, workers := range []int{2, 3} {
+			got, eng := ringTrace(workers, domains, hop, until, 1)
+			sameTrace(t, workers, ref, got, refEng, eng)
 		}
 	}
+}
+
+// TestIdleHelpersPark: once Run returns, helpers spin for a bounded
+// time and then park, so an idle engine burns no CPU.
+func TestIdleHelpersPark(t *testing.T) {
+	const workers = 3
+	e := NewEngine(Config{Lookahead: 50 * sim.Microsecond, Workers: workers})
+	for i := 0; i < workers; i++ {
+		e.AddDomain("d").At(sim.Time(i+1)*sim.Microsecond, func() {})
+	}
+	e.Run(sim.Millisecond)
+	defer e.Close()
+	if len(e.workers) != workers-1 {
+		t.Fatalf("%d helpers for %d workers; want %d (the caller is worker 0)",
+			len(e.workers), workers, workers-1)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		parked := 0
+		for _, wk := range e.workers {
+			if wk.asleep.Load() {
+				parked++
+			}
+		}
+		if parked == len(e.workers) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d helpers parked 5 s after Run returned", parked, len(e.workers))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestCloseIdempotent: Close joins the helpers once, a second Close is
+// a no-op, and an engine that never ran closes trivially.
+func TestCloseIdempotent(t *testing.T) {
+	e := NewEngine(Config{Lookahead: 50 * sim.Microsecond, Workers: 2})
+	e.AddDomain("a")
+	e.AddDomain("b")
+	e.Run(sim.Millisecond)
+	e.Close()
+	e.Close()
+	if len(e.workers) != 0 {
+		t.Fatalf("%d helpers left after Close", len(e.workers))
+	}
+
+	never := NewEngine(Config{Lookahead: 50 * sim.Microsecond, Workers: 2})
+	never.AddDomain("a")
+	never.AddDomain("b")
+	never.Close()
+	never.Close()
 }
 
 // TestPendingAggregatesAcrossShards is the churn regression for the
@@ -160,6 +262,11 @@ func TestPendingAggregatesAcrossShards(t *testing.T) {
 			if got := e.Pending(); got != want+mailed {
 				t.Fatalf("workers=%d at %v: Pending %d, want %d local + %d mailed",
 					workers, step, got, want, mailed)
+			}
+			// Posted counts mail still in flight at the barrier too.
+			if st := e.Stats(); st.Posted != st.Drained+uint64(mailed) {
+				t.Fatalf("workers=%d at %v: Posted %d, want %d drained + %d mailed",
+					workers, step, st.Posted, st.Drained, mailed)
 			}
 		}
 		e.Run(sim.Second)
