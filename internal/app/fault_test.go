@@ -5,6 +5,8 @@ import (
 
 	"fastsocket/internal/fault"
 	"fastsocket/internal/kernel"
+	"fastsocket/internal/netproto"
+	"fastsocket/internal/shard"
 	"fastsocket/internal/sim"
 )
 
@@ -138,5 +140,87 @@ func TestZeroPlanIsInert(t *testing.T) {
 	tb.loop.RunUntil(10 * sim.Millisecond)
 	if tb.client.Completed != 1 {
 		t.Fatalf("completed %d, want 1", tb.client.Completed)
+	}
+}
+
+// TestFaultStateTracksLiveFlows runs a lossy closed-loop bed on the
+// sharded fabric (1% loss both ways, a retransmitting client) and
+// checks the fault plane's occurrence state is released with its
+// flows: the live flow records summed over the sender views stay
+// within two per connection in flight or in TIME_WAIT, plus one per
+// owner-less RST, while the segments drawn keep growing with simulated
+// time.
+func TestFaultStateTracksLiveFlows(t *testing.T) {
+	eng := shard.NewEngine(shard.Config{Lookahead: 20 * sim.Microsecond})
+	defer eng.Close()
+	netw := NewShardedNetwork(eng, 20*sim.Microsecond)
+	srvLoop, cliLoop := eng.AddDomain("server"), eng.AddDomain("client")
+	plan := &fault.Plan{C2S: fault.LinkFaults{Drop: 0.01}, S2C: fault.LinkFaults{Drop: 0.01}}
+	k := kernel.New(srvLoop, kernel.Config{
+		Cores: 2,
+		Mode:  kernel.Fastsocket,
+		Feat:  kernel.FullFastsocket(),
+		IPs:   []netproto.IP{netproto.IPv4(10, 1, 0, 1), netproto.IPv4(10, 1, 0, 2)},
+		Seed:  5,
+		Fault: plan,
+	})
+	netw.Port(0).AttachKernel(k)
+	// Count the server's RSTs: in this bed each answers a client FIN
+	// retransmitted after the server's TCB retired — an owner-less
+	// send, whose record is never retired.
+	rsts, wire := 0, k.SendToWire
+	k.SendToWire = func(p *netproto.Packet) {
+		if p.Flags.Has(netproto.RST) {
+			rsts++
+		}
+		wire(p)
+	}
+	NewWebServer(k, WebServerConfig{}).Start()
+	cli := NewHTTPLoad(cliLoop, netw.Port(1), HTTPLoadConfig{
+		Targets:     serverTargets(k, 80),
+		Concurrency: 64,
+		Retransmit:  true,
+	})
+	netw.Freeze()
+	cli.Start()
+
+	live := func() fault.Occupancy {
+		var sum fault.Occupancy
+		for dom := 0; dom < eng.Domains(); dom++ {
+			o := netw.Port(dom).faults.Occupancy()
+			sum.Flows += o.Flows
+			sum.Keys += o.Keys
+			sum.Draws += o.Draws
+		}
+		return sum
+	}
+	var first fault.Occupancy
+	for at := 100 * sim.Millisecond; at <= 2*sim.Second; at += 100 * sim.Millisecond {
+		eng.Run(at)
+		occ := live()
+		population := cli.InFlight() + k.SocketSummary()["TIME_WAIT"]
+		// Two sending flows per connection (one per direction), plus
+		// one record per owner-less RST.
+		if bound := 2*population + rsts; occ.Flows > bound {
+			t.Fatalf("t=%v: %d live flow records for %d connections in flight or TIME_WAIT and %d RSTs (bound %d)",
+				at, occ.Flows, population, rsts, bound)
+		}
+		if bound := 8 * (2*population + rsts); occ.Keys > bound {
+			t.Fatalf("t=%v: %d live keys for %d connections in flight or TIME_WAIT and %d RSTs (bound %d)",
+				at, occ.Keys, population, rsts, bound)
+		}
+		if first.Draws == 0 {
+			first = occ
+		}
+	}
+	last := live()
+	if last.Draws < 4*first.Draws {
+		t.Fatalf("segments drawn grew only %d -> %d over 20x simulated time; bed too idle", first.Draws, last.Draws)
+	}
+	if last.Keys*20 > int(last.Draws) {
+		t.Fatalf("%d keys live after %d draws: occurrence state grows with segments", last.Keys, last.Draws)
+	}
+	if st := netw.FaultStats(); st.LinkDrops == 0 || k.Stats().RetransSegs == 0 {
+		t.Fatalf("loss never exercised: %+v, retrans %d", st, k.Stats().RetransSegs)
 	}
 }

@@ -413,11 +413,14 @@ func (h *HTTPLoad) fail(c *cliConn) {
 }
 
 // closeConn retires the connection without the closed-loop
-// replacement (the retry path schedules its own successor).
+// replacement (the retry path schedules its own successor). The client
+// keeps no TIME_WAIT and never sends on a retired connection, so its
+// link-fault state goes with it.
 func (h *HTTPLoad) closeConn(c *cliConn) {
 	c.synTimer.Cancel()
 	c.rtxTimer.Cancel()
 	delete(h.conns, h.key(c))
+	h.net.Forget(netproto.FourTuple{Src: c.local, Dst: c.remote})
 	h.freeConns = append(h.freeConns, c)
 }
 

@@ -28,6 +28,9 @@ type Endpoint interface {
 type Wire interface {
 	Send(p *netproto.Packet)
 	Attach(ep Endpoint, ips ...netproto.IP)
+	// Forget tells the fabric the flow sending on ft will transmit no
+	// more, retiring its link-fault occurrence state.
+	Forget(ft netproto.FourTuple)
 }
 
 // NetworkStats counts fabric activity.
@@ -177,11 +180,16 @@ func (n *Network) Attach(ep Endpoint, ips ...netproto.IP) {
 // layer (one engine per run; the machine under test owns it).
 func (n *Network) AttachKernel(k *kernel.Kernel) {
 	k.SendToWire = n.Send
+	k.ForgetFlow = n.Forget
 	n.Attach(k, k.IPs()...)
 	if e := k.Faults(); e != nil {
 		n.faults = e
 	}
 }
+
+// Forget retires ft's link-fault occurrence state (see
+// fault.Engine.Forget); a no-op on an unarmed fabric.
+func (n *Network) Forget(ft netproto.FourTuple) { n.faults.Forget(ft) }
 
 // Send puts a packet on the wire; it arrives after the fabric delay.
 // The fault engine may drop, duplicate, delay (reorder), or corrupt
@@ -350,11 +358,17 @@ func (p *Port) Attach(ep Endpoint, ips ...netproto.IP) {
 // sharing the engine's seed and plan.
 func (p *Port) AttachKernel(k *kernel.Kernel) {
 	k.SendToWire = p.Send
+	k.ForgetFlow = p.Forget
 	p.Attach(k, k.IPs()...)
 	if e := k.Faults(); e != nil {
 		p.n.faults = e
 	}
 }
+
+// Forget retires ft's occurrence state in this domain's sender view,
+// the one that drew every decision of the flow (a no-op before the
+// domain's first armed Send).
+func (p *Port) Forget(ft netproto.FourTuple) { p.faults.Forget(ft) }
 
 // Send puts a packet on the wire from this port's domain; identical
 // fault semantics to the legacy fabric, decided by this domain's

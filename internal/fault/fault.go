@@ -20,8 +20,8 @@
 //
 //	run seed ⊕ flow tuple ⊕ segment seq/flags ⊕ layer salt ⊕ occurrence
 //
-// where the occurrence counter is a per-key count of how many times
-// that exact key has been drawn. Per-flow keying means the fate of a
+// where the occurrence counter counts how many times the sending flow
+// has drawn that exact key. Per-flow keying means the fate of a
 // segment depends only on its own identity and history, never on how
 // other flows' packets interleave with it — so timing perturbations
 // that reorder events *across* flows (different NAPI batching, a
@@ -31,6 +31,20 @@
 // (each run owns its Engine). The occurrence counter also guarantees
 // a retransmitted segment gets a fresh draw instead of being
 // re-dropped forever.
+//
+// # Retiring flows
+//
+// Occurrence counts are state per sending flow, and like a TCB they
+// are released with the flow: the owner of a sending 4-tuple (the
+// kernel when it destroys a TCB, the load generator when it retires a
+// connection) calls Forget, which drops the flow's counts. Live state
+// therefore tracks the connections in flight and in TIME_WAIT, not the
+// segments ever sent. A decision would differ from a run that never
+// forgets only if a later send on a retired tuple (its next
+// incarnation, or a stateless send such as a RST) repeats one of the
+// retired flow's exact (seq, flags) — a 32-bit sequence coincidence.
+// Sends with no owner (spoofed SYNs, cookie SYN-ACKs, RSTs to unknown
+// tuples) and AllocOK draws are never retired.
 package fault
 
 import (
@@ -137,12 +151,35 @@ const (
 type Engine struct {
 	seed uint64
 	plan Plan
-	// seen counts prior draws per decision key; it is the occurrence
-	// term of the hash (retransmits redraw). Accessed by key only —
-	// never iterated — so it cannot leak map ordering.
-	seen         map[uint64]uint64
+	// seen counts each (key, flow) pair's prior draws, the occurrence
+	// term of the hash (retransmits redraw). An entry's owner is the
+	// drawing flow's record, packed as 1-based index<<32 | incarnation
+	// id; 0 marks an owner-less draw, which is never retired. Forget
+	// frees a flow's record, and seen drops the flow's entries at its
+	// next rebuild.
+	seen table
+	// flows indexes the live records by FourTuple.Hash, chained through
+	// flowRec.next: the hash collides structurally, so a record is
+	// found by comparing full tuples. Values are 1-based indexes into
+	// recs; free holds the retired ones.
+	flows        table
+	recs         []flowRec
+	free         []uint32
+	nflows       int // records reachable from flows
+	lastID       uint32
+	draws        uint64
 	firstDropped [2]int
 	stats        Stats
+}
+
+// flowRec is one sending flow's record.
+type flowRec struct {
+	ft netproto.FourTuple
+	// id names this incarnation of the record (0 while it is free); it
+	// is never reused, until ids wrap after 2^32 flows.
+	id      uint32
+	next    uint32 // next live record whose tuple has the same hash (1-based; 0 ends the chain)
+	entries int    // seen entries this incarnation owns
 }
 
 // NewEngine builds an engine for one run.
@@ -153,7 +190,15 @@ func NewEngine(seed uint64, plan Plan) *Engine {
 	if plan.S2C.ReorderDelay == 0 {
 		plan.S2C.ReorderDelay = 200 * sim.Microsecond
 	}
-	return &Engine{seed: seed, plan: plan, seen: map[uint64]uint64{}}
+	return newEngine(seed, plan)
+}
+
+func newEngine(seed uint64, plan Plan) *Engine {
+	e := &Engine{seed: seed, plan: plan}
+	e.seen.live = func(s *slot) bool {
+		return s.owner == 0 || e.recs[s.owner>>32-1].id == uint32(s.owner)
+	}
+	return e
 }
 
 // Plan returns the engine's plan (zero Plan for a nil engine).
@@ -190,14 +235,17 @@ func (s Stats) Add(o Stats) Stats {
 // decisions are keyed per (flow, direction, seq, occurrence) and all
 // of a flow-direction's transmissions originate from one domain, so
 // every key's occurrence sequence — and therefore every decision — is
-// identical to the single-engine serial run. The only semantic drift
-// is DropFirst, which becomes per-sender under views (no committed
-// plan uses it together with sharding).
+// identical to the single-engine serial run. For the same reason the
+// flow's owner retires its counts through the sending domain's view
+// (Forget), and a view's live state is bounded by that domain's flows
+// in flight and in TIME_WAIT. The only semantic drift is DropFirst,
+// which becomes per-sender under views (no committed plan uses it
+// together with sharding).
 func (e *Engine) SenderView() *Engine {
 	if e == nil {
 		return nil
 	}
-	return &Engine{seed: e.seed, plan: e.plan, seen: map[uint64]uint64{}}
+	return newEngine(e.seed, e.plan)
 }
 
 const (
@@ -215,14 +263,95 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// draw returns a uniform float64 in [0,1) for this key's next
-// occurrence. Identical (key, occurrence) pairs always draw the same
-// value in a given run.
-func (e *Engine) draw(key uint64) float64 {
-	n := e.seen[key]
-	e.seen[key] = n + 1
-	h := mix64(e.seed ^ mix64(key) ^ (n+1)*0x9e3779b97f4a7c15)
+// draw returns a uniform float64 in [0,1) for key's next occurrence
+// by owner (a flow record, or 0 for an owner-less draw). Identical
+// (key, occurrence) pairs always draw the same value in a given run.
+func (e *Engine) draw(key, owner uint64) float64 {
+	s := e.seen.ref(key, owner)
+	if s.val == 0 && owner != 0 {
+		e.recs[owner>>32-1].entries++
+	}
+	s.val++
+	h := mix64(e.seed ^ mix64(key) ^ s.val*0x9e3779b97f4a7c15)
 	return float64(h>>11) / (1 << 53)
+}
+
+// flow returns the owner of tuple ft's draws (hash h), starting a
+// record on the flow's first draw.
+func (e *Engine) flow(ft netproto.FourTuple, h uint64) uint64 {
+	head := uint32(e.flows.get(h, 0))
+	for i := head; i != 0; i = e.recs[i-1].next {
+		if f := &e.recs[i-1]; f.ft == ft {
+			return uint64(i)<<32 | uint64(f.id)
+		}
+	}
+	var i uint32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		e.recs = append(e.recs, flowRec{})
+		i = uint32(len(e.recs))
+	}
+	if e.lastID++; e.lastID == 0 {
+		e.lastID = 1 // 0 marks a free record
+	}
+	e.recs[i-1] = flowRec{ft: ft, id: e.lastID, next: head}
+	e.flows.ref(h, 0).val = uint64(i)
+	e.nflows++
+	return uint64(i)<<32 | uint64(e.lastID)
+}
+
+// Forget retires the flow sending on ft: its occurrence counts are
+// dropped, so a later send on ft starts afresh. The owner calls it
+// once the flow will send no more (kernel TCB destruction, the load
+// generator's connection close). It only frees the flow's record —
+// the counts leave the table at its next rebuild — so it costs the
+// same however many segments the flow sent. A nil engine or an
+// unknown tuple is a no-op.
+func (e *Engine) Forget(ft netproto.FourTuple) {
+	if e == nil {
+		return
+	}
+	h := ft.Hash()
+	var prev *flowRec
+	i := uint32(e.flows.get(h, 0))
+	for i != 0 && e.recs[i-1].ft != ft {
+		prev, i = &e.recs[i-1], e.recs[i-1].next
+	}
+	if i == 0 {
+		return
+	}
+	f := &e.recs[i-1]
+	switch {
+	case prev != nil:
+		prev.next = f.next
+	case f.next != 0:
+		e.flows.ref(h, 0).val = uint64(f.next)
+	default:
+		e.flows.del(h, 0)
+	}
+	e.seen.dead += f.entries
+	*f = flowRec{}
+	e.free = append(e.free, i)
+	e.nflows--
+}
+
+// Occupancy is the engine's live occurrence state: flow records and
+// the occurrence counts of live flows and owner-less draws, against
+// the link draws made so far.
+type Occupancy struct {
+	Flows int
+	Keys  int
+	Draws uint64
+}
+
+// Occupancy returns the live state (zero for a nil engine).
+func (e *Engine) Occupancy() Occupancy {
+	if e == nil {
+		return Occupancy{}
+	}
+	return Occupancy{Flows: e.nflows, Keys: e.seen.n - e.seen.dead, Draws: e.draws}
 }
 
 // LinkAction decides the fate of a segment entering the wire, and for
@@ -245,8 +374,11 @@ func (e *Engine) LinkAction(p *netproto.Packet) (Action, sim.Time) {
 		e.stats.LinkDrops++
 		return Drop, 0
 	}
-	key := p.Tuple().Hash() ^ uint64(p.Seq)<<8 ^ uint64(p.Flags) ^ saltLink
-	u := e.draw(key)
+	ft := p.Tuple()
+	h := ft.Hash()
+	key := h ^ uint64(p.Seq)<<8 ^ uint64(p.Flags) ^ saltLink
+	e.draws++
+	u := e.draw(key, e.flow(ft, h))
 	cum := lf.Drop
 	if u < cum {
 		e.stats.LinkDrops++
@@ -273,12 +405,14 @@ func (e *Engine) LinkAction(p *netproto.Packet) (Action, sim.Time) {
 // AllocOK decides whether an allocation succeeds under the plan's
 // memory-pressure probability. site is one of the Site* constants;
 // key carries per-flow identity where one exists (0 otherwise). A
-// retried allocation redraws via the occurrence counter.
+// retried allocation redraws via the occurrence counter. The key is
+// tuple-only by design (a reused tuple's retry must redraw), so these
+// draws have no owning flow and Forget never retires them.
 func (e *Engine) AllocOK(site, key uint64) bool {
 	if e == nil || e.plan.AllocFail <= 0 {
 		return true
 	}
-	if e.draw(mix64(site*0x9e3779b97f4a7c15^key)^saltAlloc) < e.plan.AllocFail {
+	if e.draw(mix64(site*0x9e3779b97f4a7c15^key)^saltAlloc, 0) < e.plan.AllocFail {
 		e.stats.AllocFails++
 		return false
 	}

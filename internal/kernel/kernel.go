@@ -219,6 +219,10 @@ type Kernel struct {
 
 	// SendToWire carries an outbound packet to the network fabric.
 	SendToWire func(p *netproto.Packet)
+	// ForgetFlow tells the fabric a destroyed TCB's sending tuple
+	// (local → remote) will transmit no more, retiring its link-fault
+	// occurrence state (fault.Engine.Forget).
+	ForgetFlow func(ft netproto.FourTuple)
 
 	tracer PacketTracer
 }
@@ -992,6 +996,9 @@ func (k *Kernel) Destroy(t *cpu.Task, sk *tcp.Sock) {
 		// drain grace period (the sweep's own aborts are counted as
 		// AbortedOnDrain by the sweep itself).
 		k.stats.DrainedConns++
+	}
+	if k.ForgetFlow != nil {
+		k.ForgetFlow(sk.Tuple().Reversed())
 	}
 	addLockStats(&k.slockAgg, sk.Slock.Stats())
 	e.destroyed = true
